@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import JumpPoint, LambdaOne
+from .errors import InternalError, JumpPoint, LambdaOne
 from .exactnum import CyclotomicNumber, RationalAngle
 from .quad import integrate_1d
 
@@ -266,7 +266,8 @@ def twisted_Q(m: int, lam: RationalAngle) -> TwistedQ:
     # Periodic continuity at x = N must already hold since the previous
     # order integrates to zero over a period.
     closure = _piece_eval(adjusted[N - 1], Fraction(N)) - _piece_eval(adjusted[0], Fraction(0))
-    assert closure.is_zero(), "twisted antiderivative failed to close up"
+    if not closure.is_zero():
+        raise InternalError("twisted antiderivative failed to close up")
     mean = CyclotomicNumber.zero(z.order)
     for j, coeffs in enumerate(adjusted):
         anti = _piece_antiderivative(coeffs)

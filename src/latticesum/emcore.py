@@ -8,8 +8,10 @@ an exact formula for weighted lattice sums of polynomials.
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bernoulli1d import L_truncated, M_poly
 from .errors import (
@@ -32,12 +34,19 @@ from .polytope import (
     Face,
     HPolytope,
     compute_vertices,
+    dot,
     edge_vectors,
     face_lattice,
-    triangulate,
 )
 
 ANGLE_ZERO = RationalAngle(Fraction(0))
+
+# Dilation integrals I(h) kept per polytope, least recently used evicted first.
+INTEGRAL_CACHE_SIZE = 64
+# Draws of divided-difference nodes before giving up; the node range doubles
+# every NODE_DRAWS_PER_RANGE draws.
+NODE_DRAWS = 200
+NODE_DRAWS_PER_RANGE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -242,71 +251,149 @@ class DilationPolynomial:
 
 
 def dilation_integral_poly(H: HPolytope, p: MultiPoly) -> DilationPolynomial:
-    """Integrate p over the dilated polytope symbolically.
+    """Integrate p over the dilated polytope symbolically, by the vertex formula.
 
-    Each simplex of a triangulation of Delta is tracked as its facets move:
-    a vertex tight on facets I_v slides affinely, v(h) = v - sum h_i alpha_i.
-    Pulling the moving simplex back to the standard simplex turns the
-    integral into the factorial formula for monomials.
+    Delta(h) = {x : <u_i, x> + mu_i + h_i >= 0} has the vertex
+    v(h) = v - sum_{i in I_v} h_i alpha_{i,v} for every vertex v of Delta,
+    where the alpha_{i,v} are the edge vectors dual to the tight normals.
+    For a covector b generic (<b, alpha_{i,v}> != 0 for every vertex and
+    edge) Brion's formula integrates a power of the linear form <b, x>:
+
+        int_{Delta(h)} <b,x>^M dx
+            = M!/(M+n)! sum_v <b, v(h)>^{M+n} / (|det U_v| prod_i <-b, alpha_{i,v}>),
+
+    with U_v the matrix of the normals tight at v.  Both sides are
+    polynomials in h near h = 0, where Delta(h) keeps the combinatorics of
+    Delta.  <b, v(h)> is affine in the n variables h_i, i in I_v, so each
+    vertex term is one multinomial expansion.
+
+    A monomial is a combination of such powers by a mixed divided
+    difference.  With distinct nodes t_{j,0..a_j} on each axis,
+
+        x^a = a!/|a|! sum_{k <= a} (prod_j w_{j,k_j}) <b_k, x>^{|a|},
+        b_k = (t_{1,k_1}, ..., t_{n,k_n}),
+        w_{j,k} = 1 / prod_{l <= a_j, l != k} (t_{j,k} - t_{j,l}),
+
+    because the divided difference of t^c over a_j + 1 nodes is 0 for
+    c < a_j and 1 for c = a_j.  The integer nodes are chosen once per
+    polytope and degree so that every grid point b_k is generic (see
+    EmContext.nodes).  All vertex terms are expanded in integers over a
+    common denominator, and each coefficient of I(h) becomes one Fraction.
     """
+    ctx = _context(H)
     n, d = H.dim, H.num_facets
-    nv = n + d  # variables: s_1..s_n then h_1..h_d
-    verts = {v.id: v for v in compute_vertices(H)}
-    alphas = {v.id: edge_vectors(H, v) for v in verts.values()}
-
-    def moving_vertex(vid):
-        """Coordinates of v(h) as polynomials in (s, h)."""
-        v = verts[vid]
-        out = []
-        for j in range(n):
-            q = MultiPoly.constant(nv, v.coords[j])
-            for i in sorted(v.tight):
-                q = q - MultiPoly.variable(nv, n + i) * alphas[vid][i][j]
-            out.append(q)
-        return out
-
-    total = MultiPoly.constant(nv, 0)
-    for simplex, sign in triangulate(H):
-        corners = [moving_vertex(vid) for vid in simplex]
-        edges = [
-            [corners[j + 1][t] - corners[0][t] for t in range(n)]
-            for j in range(n)
-        ]
-        jac = _poly_det(edges, nv) * sign
-        image = [
-            corners[0][t]
-            + sum(
-                (MultiPoly.variable(nv, j) * edges[j][t] for j in range(n)),
-                MultiPoly.constant(nv, 0),
-            )
-            for t in range(n)
-        ]
-        lifted = MultiPoly(
-            nv, {e + (0,) * d: c for e, c in p.terms.items()}
+    nodes, node_dens = ctx.nodes(p.degree())
+    # Weight of each power <b_k, x>^N, keyed by (N, k).
+    powers = {}
+    for a, c in p.terms.items():
+        N = sum(a)
+        scale = c * Fraction(
+            math.prod(math.factorial(aj) for aj in a), math.factorial(N + n)
         )
-        total = total + lifted.substitute(image + [MultiPoly.variable(nv, n + i) for i in range(d)]) * jac
-
-    # Integrate the simplex variables out with the factorial formula.
-    result = {}
-    for expo, coeff in total.terms.items():
-        a, he = expo[:n], expo[n:]
-        num = math.prod(math.factorial(ai) for ai in a)
-        weight = Fraction(num, math.factorial(n + sum(a)))
-        result[he] = result.get(he, Fraction(0)) + coeff * weight
-    poly = MultiPoly(d, result)
+        for k in itertools.product(*(range(aj + 1) for aj in a)):
+            den = math.prod(node_dens[j][a[j]][k[j]] for j in range(n))
+            powers[N, k] = powers.get((N, k), 0) + scale / den
+    parts = []
+    for (N, k), w in powers.items():
+        if w:
+            b = tuple(nodes[j][k[j]] for j in range(n))
+            num, den = _power_integral(ctx.cones, b, N + n, d)
+            parts.append((w.numerator, w.denominator * den, num))
+    common = math.lcm(*(den for _, den, _ in parts))
+    total = {}
+    for wnum, den, num in parts:
+        f = wnum * (common // den)
+        for e, c in num.items():
+            total[e] = total.get(e, 0) + f * c
+    poly = MultiPoly(d, {e: Fraction(c, common) for e, c in total.items() if c})
     return DilationPolynomial(d, poly, n + p.degree())
 
 
-def _poly_det(rows, nv):
-    """Determinant of a square matrix of polynomials, by Laplace expansion."""
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    out = MultiPoly.constant(nv, 0)
-    for j in range(m):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _poly_det(minor, nv)
-        out = out + (term if j % 2 == 0 else -term)
+@dataclass(frozen=True)
+class _VertexCone:
+    """Integer data of one vertex for the vertex formula.
+
+    alpha_{i,v} = edges[pos] / scale for the facet i = facets[pos].
+    """
+
+    coords: tuple   # v
+    facets: tuple   # sorted I_v
+    edges: tuple    # scale * alpha_{i,v}, integer vectors
+    scale: int      # common denominator of the alpha_{i,v}
+    det: int        # |det U_v|
+
+
+def _vertex_cones(H: HPolytope) -> tuple:
+    """Vertices, integer-scaled edge vectors and |det U_v| of every vertex."""
+    cones = []
+    for v in compute_vertices(H):
+        alpha = edge_vectors(H, v)
+        facets = tuple(sorted(v.tight))
+        scale = math.lcm(*(c.denominator for i in facets for c in alpha[i]))
+        edges = tuple(tuple(int(c * scale) for c in alpha[i]) for i in facets)
+        det = abs(IntMatrix([list(H.normals[i]) for i in facets]).det())
+        cones.append(_VertexCone(v.coords, facets, edges, scale, det))
+    return tuple(cones)
+
+
+def _power_integral(cones, b, M, d):
+    """(numerators, denominator) of sum_v <b, v(h)>^M / (|det U_v| prod_i <-b, alpha_{i,v}>).
+
+    With alpha = A / q and B_i = -<b, A_i>, the vertex term is
+    (q <b, v> + sum_i B_i h_i)^M / (|det U_v| q^(M-n) prod_i B_i).  The
+    numerators are integers keyed by exponent vectors in h_1..h_d; the
+    denominator is a positive integer shared by all of them.
+    """
+    terms = []
+    for cone in cones:
+        B = [-sum(x * y for x, y in zip(b, A)) for A in cone.edges]
+        den = cone.det * cone.scale ** (M - len(B)) * math.prod(B)
+        c = cone.scale * sum(x * y for x, y in zip(b, cone.coords))
+        terms.append((cone.facets, c, B, den))
+    common = math.lcm(*(abs(den) for *_, den in terms))
+    acc = {}
+    for facets, c, B, den in terms:
+        cpow = [common // den]
+        for _ in range(M):
+            cpow.append(cpow[-1] * c)
+        bpow = []
+        for beta in B:
+            row = [1]
+            for _ in range(M):
+                row.append(row[-1] * beta)
+            bpow.append(row)
+        for g, e, rest in _expansion(facets, d, M):
+            t = cpow[rest]
+            for row, ei in zip(bpow, e):
+                if ei:
+                    t *= row[ei]
+            acc[g] = acc.get(g, 0) + t
+    return {g: t * _multinomial(M, g) for g, t in acc.items() if t}, common
+
+
+@lru_cache(maxsize=256)
+def _expansion(facets: tuple, d: int, M: int) -> tuple:
+    """Monomials of (c + sum_{i in facets} B_i h_i)^M, without their coefficients.
+
+    One (g, e, M - |e|) per exponent vector e over `facets` with |e| <= M;
+    g is e spread over all d facet variables.
+    """
+    out = []
+    for e in itertools.product(range(M + 1), repeat=len(facets)):
+        if sum(e) <= M:
+            g = [0] * d
+            for i, ei in zip(facets, e):
+                g[i] = ei
+            out.append((tuple(g), e, M - sum(e)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _multinomial(M: int, g: tuple) -> int:
+    """M! / ((M - |g|)! prod_i g_i!)."""
+    out = math.factorial(M) // math.factorial(M - sum(g))
+    for x in g:
+        out //= math.factorial(x)
     return out
 
 
@@ -376,7 +463,9 @@ class EmContext:
         self.groups = {f.index_set: face_group(H, f) for f in self.lattice.faces}
         self.flats = self._flat_subsets()
         self._angles = {}
-        self._integrals = {}
+        self._integrals = {}  # MultiPoly -> DilationPolynomial, oldest use first
+        self.cones = _vertex_cones(H)
+        self._nodes = {}
 
     def _flat_subsets(self):
         flats = {}
@@ -415,9 +504,58 @@ class EmContext:
         return self._angles[key]
 
     def integral(self, p: MultiPoly) -> DilationPolynomial:
-        if p not in self._integrals:
-            self._integrals[p] = dilation_integral_poly(self.H, p)
-        return self._integrals[p]
+        I = self._integrals.pop(p, None)
+        if I is None:
+            I = dilation_integral_poly(self.H, p)
+            if len(self._integrals) >= INTEGRAL_CACHE_SIZE:
+                del self._integrals[next(iter(self._integrals))]
+        self._integrals[p] = I
+        return I
+
+    def nodes(self, degree: int):
+        """Divided-difference nodes for polynomials of degree <= `degree`.
+
+        Returns (nodes, dens): nodes[j] holds degree + 1 distinct integers on
+        axis j, such that every grid point (nodes[0][k_0], ..., nodes[n-1][k_{n-1}])
+        pairs to nonzero with every edge vector; dens[j][m][k] is
+        prod_{l <= m, l != k} (nodes[j][k] - nodes[j][l]).  Drawn from
+        random.Random(degree), so the choice is deterministic.
+        """
+        if degree not in self._nodes:
+            self._nodes[degree] = _divided_difference_nodes(self.cones, self.H.dim, degree)
+        return self._nodes[degree]
+
+
+def _divided_difference_nodes(cones, n: int, degree: int):
+    directions = {A for cone in cones for A in cone.edges}
+    rng = random.Random(degree)
+    for draw in range(NODE_DRAWS):
+        bound = max(9, degree) << (draw // NODE_DRAWS_PER_RANGE)
+        nodes = tuple(
+            tuple(rng.sample(range(-bound, bound + 1), degree + 1)) for _ in range(n)
+        )
+        if all(
+            dot(b, A) != 0
+            for b in itertools.product(*nodes)
+            for A in directions
+        ):
+            break
+    else:
+        raise InternalError(
+            f"no generic divided-difference nodes of degree {degree} "
+            f"in {NODE_DRAWS} draws"
+        )
+    dens = tuple(
+        tuple(
+            tuple(
+                math.prod(t[k] - t[l] for l in range(m + 1) if l != k)
+                for k in range(m + 1)
+            )
+            for m in range(degree + 1)
+        )
+        for t in nodes
+    )
+    return nodes, dens
 
 
 _CONTEXTS = {}

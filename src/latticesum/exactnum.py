@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CyclotomicOrderTooLarge, NotRational, Singular
+from .errors import CyclotomicOrderTooLarge, InternalError, NotRational, Singular
 
 Rational = Fraction
 
@@ -76,7 +76,8 @@ class IntMatrix:
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
         d = det_rational([[Fraction(e) for e in row] for row in self.data])
-        assert d.denominator == 1
+        if d.denominator != 1:
+            raise InternalError(f"determinant of an integer matrix is {d}")
         return int(d)
 
     def diagonal(self) -> list:
@@ -299,12 +300,14 @@ def _polydiv_exact(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise InternalError(f"{den[-1]} does not divide the coefficient {c}")
         q = c // den[-1]
         out[k] = q
         for i, dc in enumerate(den):
             num[k + i] -= q * dc
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise InternalError(f"polynomial division left the remainder {num}")
     return out
 
 
@@ -377,7 +380,10 @@ class CyclotomicNumber:
         """Embed into Q(zeta_order); order must be a multiple of self.order."""
         if order == self.order:
             return self
-        assert order % self.order == 0
+        if order % self.order:
+            raise InternalError(
+                f"cannot lift from Q(zeta_{self.order}) to Q(zeta_{order})"
+            )
         step = order // self.order
         out = [Fraction(0)] * (euler_phi(self.order) * step + 1)
         for e, v in enumerate(self.coeffs):

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticesum.emcore import (
+    INTEGRAL_CACHE_SIZE,
+    EmContext,
     apply_operator,
     assemble_operator,
     character_angles,
@@ -197,6 +199,9 @@ def integral_dilated(H, p, h):
         ("simplex2_2x", "x1^3 - x2"),
         ("unit_cube", "x1*x2 + x3^2"),
         ("nonregular_simplex3", "x3^2 + x1"),
+        # axis monomials: <e_j, x> pairs to zero with edges of these polytopes
+        ("unit_cube", "x1^5"),
+        ("nonregular_simplex3", "x3^4"),
     ],
 )
 def test_dilation_integral_interpolation_oracle(name, poly):
@@ -226,6 +231,68 @@ def test_dilation_integral_closed_forms():
     for h in ([0, 0, 0, 0], [1, 0, 2, 0], [1, 2, 3, 4]):
         expect = (1 + h[0] + h[2]) * (1 + h[1] + h[3])
         assert Isq.poly.evaluate([Fraction(c) for c in h]) == expect
+    # unit cube, x1^5 over [-h1, 1+h4] x [-h2, 1+h5] x [-h3, 1+h6]
+    Ic = dilation_integral_poly(unit_cube(), parse_polynomial("x1^5", 3))
+    for h in ([0] * 6, [1, 0, 2, 0, 3, 1], [Fraction(1, 2), 2, 0, Fraction(7, 3), 1, 4]):
+        h = [Fraction(c) for c in h]
+        expect = (
+            ((1 + h[3]) ** 6 - h[0] ** 6) / 6
+            * (1 + h[1] + h[4]) * (1 + h[2] + h[5])
+        )
+        assert Ic.poly.evaluate(h) == expect
+
+
+def test_integral_cache_is_bounded_lru():
+    ctx = EmContext(HPolytope([[1], [-1]], [0, 5]))
+    polys = [MultiPoly.constant(1, c) for c in range(1, INTEGRAL_CACHE_SIZE + 2)]
+    first = ctx.integral(polys[0])
+    for p in polys[1:-1]:
+        ctx.integral(p)
+    assert ctx.integral(polys[0]) is first  # a hit makes polys[0] the newest
+    ctx.integral(polys[-1])                 # evicts polys[1], the oldest use
+    assert len(ctx._integrals) == INTEGRAL_CACHE_SIZE
+    assert polys[0] in ctx._integrals and polys[1] not in ctx._integrals
+
+
+# Non-unimodular simplices with large coprime vertex groups (the same data
+# as the exact-groups benchmark workload).
+GROUP_SIMPLICES = {
+    "tri_7_11": HPolytope([[1, 0], [0, 1], [-7, -11]], [0, 0, 77]),
+    "tri_11_13": HPolytope([[1, 0], [0, 1], [-11, -13]], [0, 0, 143]),
+    "s3_1_3_4": HPolytope(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-12, -4, -3]], [0, 0, 0, 12]
+    ),
+    "s3_2_3_5": HPolytope(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-15, -10, -6]], [0, 0, 0, 30]
+    ),
+}
+IH_POLYTOPES = {**CORPUS, **GROUP_SIMPLICES}
+
+
+def polynomials(n, max_degree):
+    """Polynomials in n variables of degree <= max_degree, rational coefficients."""
+    monomial = st.lists(st.integers(0, n - 1), max_size=max_degree).map(
+        lambda idx: tuple(idx.count(j) for j in range(n))
+    )
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    return st.dictionaries(monomial, coeff, max_size=6).map(
+        lambda terms: MultiPoly(n, terms)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(IH_POLYTOPES))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_dilation_integral_matches_triangulation(name, data):
+    H = IH_POLYTOPES[name]
+    p = data.draw(polynomials(H.dim, 4))
+    I = dilation_integral_poly(H, p)
+    assert I.degree_bound == H.dim + p.degree()
+    h = data.draw(st.lists(
+        st.fractions(min_value=0, max_value=6, max_denominator=4),
+        min_size=H.num_facets, max_size=H.num_facets,
+    ))
+    assert I.poly.evaluate(h) == integral_dilated(H, p, h)
 
 
 # ---------------------------------------------------------------------------

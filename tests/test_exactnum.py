@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticesum.errors import CyclotomicOrderTooLarge, NotRational, Singular
+from latticesum.errors import (
+    CyclotomicOrderTooLarge,
+    InternalError,
+    NotRational,
+    Singular,
+)
 from latticesum.exactnum import (
     CyclotomicNumber,
     IntMatrix,
@@ -175,6 +180,13 @@ def test_mixed_order_arithmetic(a, b):
     p = a * b
     assert abs(s.to_complex() - (a.to_complex() + b.to_complex())) < 1e-9
     assert abs(p.to_complex() - (a.to_complex() * b.to_complex())) < 1e-9
+
+
+def test_lift_to_non_multiple_order_raises():
+    z = CyclotomicNumber.zeta(4)
+    assert z.lift(12).to_complex() == pytest.approx(1j)
+    with pytest.raises(InternalError):
+        z.lift(6)
 
 
 def test_rational_part():
